@@ -21,7 +21,7 @@ from rankdate import (
     date_tree,
     decimal_string,
     parse_newick,
-    polytomy_edge_length,
+    polytomy_edge_lengths,
     rank_moments,
     rank_probabilities,
     sample_rank_functions,
@@ -84,11 +84,9 @@ def main() -> None:
                 print(f"  every leaf sits at depth {show(depth)}")
             print(f"  {write_newick(tree, report, allow_partial=not report.pendant)}")
         else:
-            for p, c in tree.edges():
-                if tree.children[c]:
-                    value = polytomy_edge_length(tree, p, c, model)
-                    print(f"  {tree.name(p)} -> {tree.name(c)}: {show(value)} "
-                          f"(averaged over binary refinements)")
+            for (p, c), value in polytomy_edge_lengths(tree, model).items():
+                print(f"  {tree.name(p)} -> {tree.name(c)}: {show(value)} "
+                      f"(averaged over binary refinements)")
 
     print(f"\n{args.samples} uniform orders (seed {args.seed})")
     for rf in sample_rank_functions(tree, args.samples, args.seed):

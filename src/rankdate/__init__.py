@@ -11,7 +11,7 @@ equally likely, this package computes -- exactly, in rational arithmetic --
 * the probability that one vertex precedes another (:func:`compare`),
 * expected edge lengths once positions are given birth (Yule) or coalescent
   waiting times (:func:`date_tree`), including averages over all binary
-  refinements of multifurcating trees (:func:`polytomy_edge_length`),
+  refinements of multifurcating trees (:func:`polytomy_edge_lengths`),
 * uniform samples of admissible orders (:func:`sample_rank_function`).
 
 Trees are parsed from Newick text (:func:`parse_newick`) into the immutable
@@ -60,6 +60,7 @@ from .timing import (
     interior_edge_length,
     pendant_edge_length,
     polytomy_edge_length,
+    polytomy_edge_lengths,
     resolve_polytomies,
 )
 from .tree import (
@@ -109,6 +110,7 @@ __all__ = [
     "pendant_edge_length",
     "placement_counts",
     "polytomy_edge_length",
+    "polytomy_edge_lengths",
     "prune_below",
     "rank_moments",
     "rank_probabilities",

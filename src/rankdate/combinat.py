@@ -78,7 +78,8 @@ def count_rank_functions(tree: PhyloTree) -> int:
     numerator = math.factorial(k)
     denominator = math.prod(tree.interior_below[v] for v in tree.interior_vertices())
     quotient, remainder = divmod(numerator, denominator)
-    assert remainder == 0, "order count must be an integer"
+    if remainder:
+        raise ArithmeticError("order count is not an integer")
     return quotient
 
 

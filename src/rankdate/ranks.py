@@ -8,14 +8,28 @@ its ancestors) is equally likely.  This module computes, without enumeration,
 * the exact joint distribution of the ranks of an ancestor-descendant pair,
 * the probability that one interior vertex precedes another.
 
-All results are exact rationals.  The single-vertex computation walks the
-path from the query vertex up to the root, maintaining counts of the orders
-of the current subtree grouped by the slot the query vertex occupies; each
-step merges in the sibling subtrees with two binomial factors (how the new
-vertices interleave before and after the slot).  Cost is O(k^2) arithmetic
-operations for k interior vertices.  Multifurcations need no special case:
-all sibling subtrees at a step act as one block whose internal order counts
-cancel when the final vector is normalized.
+All results are exact rationals.  One kernel, ``_order_counts``, serves the
+dating code in ``timing``: a single preorder pass counts, for every interior
+vertex at once, the admissible orders that give it each rank.  For an
+interior child c of p, with K interior vertices and s_c of them in c's
+subtree,
+
+    N_c(t) = C(K - t, s_c - 1) * sum_{r < t} N_p(r) / C(K - r, s_c),
+
+because once p has rank r every set of s_c positions after r is equally
+likely to hold c's subtree; each quotient is an exact integer.  The counts
+are the hook-length forest counts (Knuth, TAOCP Vol. 3, 5.1.4), and the pass
+costs O(K^2) integer operations for the whole tree.
+
+The public single-vertex routine walks the other way, from the query vertex
+up to the root, keeping counts of the orders of the current subtree grouped
+by the slot the query vertex occupies; each step merges in the sibling
+subtrees with two binomial factors (how the new vertices interleave before
+and after the slot).  Multifurcations need no special case: all sibling
+subtrees at a step act as one block whose internal order counts cancel when
+the final vector is normalized.  The joint law of a nested pair peels the
+path between them.  These walks are independent of the kernel, and the tests
+check the kernel against them.
 """
 
 from __future__ import annotations
@@ -24,8 +38,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import BinomialTable, binomial_table_for
+from .combinat import BinomialTable, binomial_table_for, count_rank_functions
 from .tree import PhyloTree, TreeError, prune_below
+
+# Largest distance from 1 tolerated in the sum of a float rank law.
+FLOAT_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,6 +111,62 @@ class JointRankTable:
         for (_i, j), prob in self.q.items():
             out[j] = out.get(j, 0) + prob
         return out
+
+
+# ---------------------------------------------------------------------------
+# top-down kernel
+# ---------------------------------------------------------------------------
+
+
+def _order_counts(tree: PhyloTree, targets=None):
+    """Admissible orders counted by rank, for many vertices in one pass.
+
+    Returns ``(total, laws)``: ``total`` is ``count_rank_functions(tree)``
+    and ``laws`` yields ``(v, counts)`` for the interior vertices in
+    preorder, where ``counts[t]`` (t = 1..K, entry 0 unused) is the number of
+    admissible orders giving v rank t, so each ``counts`` sums to ``total``.
+    With ``targets`` only the vertices on the paths from the root to them
+    are yielded.  A vertex's counts are dropped once its children's are
+    built, so the pass holds only the counts of pending siblings.
+    """
+    total = count_rank_functions(tree)
+    wanted = None
+    if targets is not None:
+        wanted = set()
+        for v in targets:
+            wanted.update(tree.path_to_root(v))
+    return total, _top_down(tree, total, wanted)
+
+
+def _top_down(tree: PhyloTree, total: int, wanted):
+    k = tree.interior_count
+    children = tree.children
+    interior_below = tree.interior_below
+    comb = math.comb
+    root_counts = [0] * (k + 1)
+    root_counts[1] = total
+    pending = {tree.root: root_counts}
+    for p in range(tree.vertex_count):  # preorder: every parent precedes its children
+        counts = pending.pop(p, None)
+        if counts is None:
+            continue
+        for c in children[p]:
+            if not children[c] or (wanted is not None and c not in wanted):
+                continue
+            size = interior_below[c]
+            below = [0] * (k + 1)
+            running = 0
+            for t in range(2, k - size + 2):
+                before = counts[t - 1]
+                if before:
+                    quotient, remainder = divmod(before, comb(k - t + 1, size))
+                    if remainder:
+                        raise ArithmeticError("rank recurrence left a remainder")
+                    running += quotient
+                if running:
+                    below[t] = running * comb(k - t, size - 1)
+            pending[c] = below
+        yield p, counts
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +252,23 @@ def rank_probabilities(tree: PhyloTree, v: int) -> RankDistribution:
 def rank_probabilities_float(tree: PhyloTree, v: int) -> tuple[float, ...]:
     """Float64 variant of rank_probabilities, for large-tree benchmarking.
 
-    Entry k is the probability of rank k + 1.  Subject to float rounding and,
-    for very wide trees, to overflow in the binomial factors; the exact
-    routine is the reference.
+    Entry k is the probability of rank k + 1.  Subject to float rounding; the
+    exact routine is the reference.  Raises TreeError instead of returning
+    a law that is not finite or whose sum is further than
+    ``FLOAT_SUM_TOLERANCE`` from 1, as happens when the binomial factors of
+    a very wide tree overflow.
     """
     _require_interior(tree, v)
     row = _final_row(tree, v, tree.root, binomial_table_for(tree, exact=False))
     total = sum(row)
-    return tuple(c / total for c in row[1:])
+    probs = tuple(c / total for c in row[1:])
+    if not all(map(math.isfinite, probs)) or abs(math.fsum(probs) - 1) > FLOAT_SUM_TOLERANCE:
+        raise TreeError(
+            f"float rank law of {tree.name(v)} is not finite or not normalized "
+            f"(float binomials overflow at {tree.interior_count} interior vertices); "
+            "use rank_probabilities"
+        )
+    return probs
 
 
 def rank_moments(dist: RankDistribution) -> RankSummary:
@@ -210,19 +292,6 @@ def _interleave_weight(outside: int, block: int, position: int, choose):
     pinned to overall position ``position``, into a sequence of ``outside``
     vertices: C(outside + block - position, block - 1)."""
     return choose(outside + block - position, block - 1)
-
-
-def _interleave_weight_product(outside: int, block: int, position: int) -> int:
-    """The same weight written as a falling product over block - 1 factors,
-    times (block - 1)!; used to cross-check the binomial form."""
-    acc = 1
-    top = outside + block - position
-    for k in range(block - 1):
-        factor = top - k
-        if factor <= 0:
-            return 0
-        acc *= factor
-    return acc
 
 
 def joint_rank_prob(tree: PhyloTree, u: int, v: int) -> JointRankTable:
@@ -270,9 +339,6 @@ def joint_rank_prob(tree: PhyloTree, u: int, v: int) -> JointRankTable:
         below_next = tree.interior_below[path[t + 1]] if t < depth else 0
         block = tree.interior_below[path[t]] - below_next
         span = outside + block
-        final_step = t == depth
-        if final_step:
-            tail_factorial = math.factorial(block - 1)
         new_grid = [[0] * width for _ in range(len(grid))]
         for i, old_row in enumerate(grid):
             if not any(old_row):
@@ -283,10 +349,6 @@ def joint_rank_prob(tree: PhyloTree, u: int, v: int) -> JointRankTable:
                 running += old_row[h - 1]
                 if running:
                     weight = _interleave_weight(outside, block, h, choose)
-                    if final_step:
-                        assert weight * tail_factorial == _interleave_weight_product(
-                            outside, block, h
-                        ), "interleaving weight forms disagree"
                     if weight:
                         new_row[h] = running * weight
         grid = new_grid

@@ -3,12 +3,15 @@
 Two clock models are supported.  Under the pure-birth ("yule") model with
 rate 1, the gap between the k-th and (k+1)-th split is exponential with rate
 k + 1; under the coalescent the corresponding gap rate makes the expected gap
-1 / ((k+1)k).  The expected length of an interior edge is the expected sum of
-the gaps its endpoints straddle, averaged over the exact joint distribution
-of the endpoint ranks.  Pendant edges run from the parent's split to the last
-split of the whole tree (the natural truncation for a tree observed at the
-moment its final lineage appears) and are meaningful for the pure-birth model
-only.
+1 / ((k+1)k).  Write G(t) for the expected time from the first split to the
+t-th.  By linearity of expectation the expected length of an interior edge
+p -> c is E[G(rank c)] - E[G(rank p)], so edge lengths need only the marginal
+rank law of each vertex, never the joint law of an edge's endpoints: one pass
+of the rank kernel in ``ranks`` dates a whole tree.  Pendant edges run from
+the parent's split to the last split of the whole tree (the natural
+truncation for a tree observed at the moment its final lineage appears) and
+are meaningful for the pure-birth model only; their expected length is
+E[G(K) - G(rank p)] for K interior vertices.
 
 Trees are dated from their first split: the root's split is time zero and
 there is no stem edge.  Multifurcations carry no timing model of their own;
@@ -23,9 +26,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .combinat import yule_topology_prob
-from .ranks import joint_rank_prob, rank_probabilities
+from .ranks import _order_counts
+# Nothing here calls these two any more; they stay importable from this module
+# because the traced benchmark run (perfbench/spans.py) wraps them by name.
+from .ranks import joint_rank_prob, rank_probabilities  # noqa: F401
 from .tree import PhyloTree, TreeError, assemble
 
 
@@ -106,15 +113,30 @@ def expected_waiting_sum(i: int, j: int, model: TimingModel) -> Fraction:
     raise TreeError(f"unknown timing model {model!r}")
 
 
-def _gap_prefix(limit: int, model: TimingModel) -> list:
-    """prefix[t] - prefix[i] = expected_waiting_sum(i, t, model), computed once."""
-    prefix = [Fraction(0)] * (limit + 1)
+def _gap_numerators(limit: int, model: TimingModel) -> tuple[list, int]:
+    """G(t) for t = 0..limit over one common denominator: returns
+    ``(numerators, denominator)`` with G(t) = numerators[t] / denominator and
+    G(j) - G(i) = expected_waiting_sum(i, j, model).
+
+    The denominator lcm(1..limit) is a multiple of every gap's denominator,
+    t under Yule and t(t - 1) under the coalescent (coprime factors, both at
+    most ``limit``), so every numerator is an exact integer.
+    """
+    denominator = math.lcm(*range(1, limit + 1))
+    numerators = [0] * (limit + 1)
     for t in range(2, limit + 1):
-        if model is TimingModel.YULE:
-            prefix[t] = prefix[t - 1] + Fraction(1, t)
-        else:
-            prefix[t] = prefix[t - 1] + Fraction(1, t * (t - 1))
-    return prefix
+        gap = t if model is TimingModel.YULE else t * (t - 1)
+        numerators[t] = numerators[t - 1] + denominator // gap
+    return numerators, denominator
+
+
+def _expected_gaps(tree: PhyloTree, gap: list, targets=None) -> tuple[dict, int]:
+    """Numerators of E[G(rank v)] for the interior vertices (or those on the
+    root paths to ``targets``) and the order count: E[G(rank v)] is
+    ``sums[v] / (total * denominator)`` for gap numerators from
+    _gap_numerators."""
+    total, laws = _order_counts(tree, targets)
+    return {v: sum(map(mul, counts, gap)) for v, counts in laws}, total
 
 
 def interior_edge_length(tree: PhyloTree, u: int, v: int, model: TimingModel) -> Fraction:
@@ -128,12 +150,9 @@ def interior_edge_length(tree: PhyloTree, u: int, v: int, model: TimingModel) ->
         raise TreeError(
             f"{tree.name(v)} is a leaf; use pendant_edge_length for leaf edges"
         )
-    joint = joint_rank_prob(tree, u, v)
-    prefix = _gap_prefix(tree.interior_count, model)
-    total = Fraction(0)
-    for (i, j), prob in joint.q.items():
-        total += prob * (prefix[j] - prefix[i])
-    return total
+    gap, denominator = _gap_numerators(tree.interior_count, model)
+    sums, total = _expected_gaps(tree, gap, targets=(v,))
+    return Fraction(sums[v] - sums[u], total * denominator)
 
 
 def pendant_edge_length(tree: PhyloTree, v: int) -> Fraction:
@@ -145,20 +164,9 @@ def pendant_edge_length(tree: PhyloTree, v: int) -> Fraction:
         raise TreeError(f"{tree.name(v)} is a leaf; pass its parent instead")
     if not any(tree.is_leaf(c) for c in tree.children[v]):
         raise TreeError(f"{tree.name(v)} has no leaf child")
-    return _pendant_from_distribution(tree, rank_probabilities(tree, v).p)
-
-
-def _pendant_from_distribution(tree: PhyloTree, probs) -> Fraction:
-    n = tree.leaf_count
-    # tail[i] = expected time from split i to split n - 1
-    tail = [Fraction(0)] * (n + 1)
-    for i in range(n - 2, 0, -1):
-        tail[i] = tail[i + 1] + Fraction(1, i + 1)
-    total = Fraction(0)
-    for k, prob in enumerate(probs):
-        if prob:
-            total += prob * tail[k + 1]
-    return total
+    gap, denominator = _gap_numerators(tree.interior_count, TimingModel.YULE)
+    sums, total = _expected_gaps(tree, gap, targets=(v,))
+    return Fraction(total * gap[-1] - sums[v], total * denominator)
 
 
 def date_tree(tree: PhyloTree, model: TimingModel, include_pendant: bool = False) -> EdgeLengthReport:
@@ -171,22 +179,26 @@ def date_tree(tree: PhyloTree, model: TimingModel, include_pendant: bool = False
     _require_binary(tree)
     if include_pendant and model is not TimingModel.YULE:
         raise TreeError("pendant lengths are defined for the yule model only")
+    if not tree.interior_count:  # a lone leaf has no edge
+        return EdgeLengthReport(model=model, interior={}, pendant={}, leaf_depths={})
 
+    gap, denominator = _gap_numerators(tree.interior_count, model)
+    sums, total = _expected_gaps(tree, gap)
+    scale = total * denominator
     interior: dict[tuple[int, int], Fraction] = {}
     for parent, child in tree.edges():
         if tree.children[child]:
-            interior[(parent, child)] = interior_edge_length(tree, parent, child, model)
+            interior[(parent, child)] = Fraction(sums[child] - sums[parent], scale)
 
     pendant: dict[tuple[int, int], Fraction] = {}
     depths: dict[int, Fraction] = {}
     if include_pendant:
+        last = total * gap[-1]
         per_parent: dict[int, Fraction] = {}
         for parent, child in tree.edges():
             if not tree.children[child]:
                 if parent not in per_parent:
-                    per_parent[parent] = _pendant_from_distribution(
-                        tree, rank_probabilities(tree, parent).p
-                    )
+                    per_parent[parent] = Fraction(last - sums[parent], scale)
                 pendant[(parent, child)] = per_parent[parent]
         start: dict[int, Fraction] = {tree.root: Fraction(0)}
         for parent, child in tree.edges():
@@ -254,9 +266,9 @@ def resolve_polytomies(tree: PhyloTree, max_resolutions: int = 10000) -> Resolut
     for combo in itertools.product(*local_choices):
         grouping_at = dict(zip(fan_out, combo))
         resolutions.append(_build_resolution(tree, grouping_at))
-    result = ResolutionSet(source=tree, resolutions=tuple(resolutions))
-    assert len(result.resolutions) == count
-    return result
+    if len(resolutions) != count:
+        raise RuntimeError(f"built {len(resolutions)} refinements, expected {count}")
+    return ResolutionSet(source=tree, resolutions=tuple(resolutions))
 
 
 def _build_resolution(tree: PhyloTree, grouping_at: dict) -> Resolution:
@@ -307,6 +319,39 @@ def _build_resolution(tree: PhyloTree, grouping_at: dict) -> Resolution:
     )
 
 
+def polytomy_edge_lengths(
+    tree: PhyloTree, model: TimingModel, max_resolutions: int = 10000
+) -> dict:
+    """Expected duration of every interior edge, keyed by (parent, child) in
+    preorder of the child, averaged over all binary refinements of the tree.
+
+    In a refinement the two endpoints of an edge may be separated by new
+    vertices, so the per-refinement value is the length of the whole path
+    between their images, which telescopes to E[G(image of child)] -
+    E[G(image of parent)]; the refinements are enumerated once and each is
+    dated by one kernel pass.  Weights are the refinements' pure-birth
+    topology probabilities.  On n leaves that probability is the
+    refinement's number of orders times 2^(n-1) / (n! (n-1)!), the same
+    for every refinement, so the weighted average is a plain average over
+    all ranked refinements: summed numerators over summed order counts.  On
+    a binary tree this is ``date_tree(tree, model).interior``.
+    """
+    if tree.is_binary():
+        return date_tree(tree, model).interior
+    edges = [(p, c) for p, c in tree.edges() if tree.children[c]]
+    refinements = resolve_polytomies(tree, max_resolutions)
+    gap, denominator = _gap_numerators(tree.leaf_count - 1, model)
+    numerators = dict.fromkeys(edges, 0)
+    orders = 0
+    for refinement in refinements.resolutions:
+        sums, total = _expected_gaps(refinement.tree, gap)
+        image = refinement.vertex_map
+        for p, c in edges:
+            numerators[(p, c)] += sums[image[c]] - sums[image[p]]
+        orders += total
+    return {edge: Fraction(value, orders * denominator) for edge, value in numerators.items()}
+
+
 def polytomy_edge_length(
     tree: PhyloTree,
     u: int,
@@ -315,13 +360,8 @@ def polytomy_edge_length(
     max_resolutions: int = 10000,
 ) -> Fraction:
     """Expected duration of the edge from u down to interior child v, averaged
-    over all binary refinements of the tree.
-
-    In a refinement the two endpoints may be separated by new vertices, so the
-    per-refinement value is the length of the whole path between their images.
-    Weights are the refinements' pure-birth topology probabilities; on a
-    binary tree this reduces exactly to interior_edge_length.
-    """
+    over all binary refinements of the tree as in polytomy_edge_lengths; on a
+    binary tree this is interior_edge_length."""
     tree.check_vertex(u)
     tree.check_vertex(v)
     if tree.parent[v] != u:
@@ -330,19 +370,7 @@ def polytomy_edge_length(
         raise TreeError("pendant edges are out of scope for refinement averaging")
     if tree.is_binary():
         return interior_edge_length(tree, u, v, model)
-
-    refinements = resolve_polytomies(tree, max_resolutions)
-    weighted = Fraction(0)
-    for refinement in refinements.resolutions:
-        top = refinement.vertex_map[u]
-        walker = refinement.vertex_map[v]
-        length = Fraction(0)
-        while walker != top:
-            parent = refinement.tree.parent[walker]
-            length += interior_edge_length(refinement.tree, parent, walker, model)
-            walker = parent
-        weighted += refinement.weight * length
-    return weighted / refinements.total_weight
+    return polytomy_edge_lengths(tree, model, max_resolutions)[(u, v)]
 
 
 def _require_binary(tree: PhyloTree) -> None:

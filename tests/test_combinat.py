@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -68,6 +69,16 @@ def test_count_golden(text, expect):
 def test_count_requires_interior_vertex():
     with pytest.raises(TreeError):
         count_rank_functions(parse_newick("a;"))
+
+
+def test_count_rejects_inconsistent_subtree_sizes(t5):
+    # t5's subtree sizes 4, 1, 2, 1 divide 4! = 24 into 3 orders; with 5 in
+    # place of one 1 their product 40 does not divide 24
+    sizes = list(t5.interior_below)
+    sizes[1] = 5
+    bogus = dataclasses.replace(t5, interior_below=tuple(sizes))
+    with pytest.raises(ArithmeticError):
+        count_rank_functions(bogus)
 
 
 def test_count_caterpillar_is_one():

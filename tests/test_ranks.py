@@ -1,13 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rankdate.ranks as ranks_module
 from rankdate import (
+    BinomialTable,
     RankDistribution,
     TreeError,
     compare,
+    count_rank_functions,
     joint_rank_prob,
     parse_newick,
     placement_counts,
@@ -20,7 +24,8 @@ from rankdate.oracle import (
     brute_joint,
     brute_rank_probabilities,
 )
-from treegen import caterpillar, catalog, random_tree
+from rankdate.ranks import FLOAT_SUM_TOLERANCE, _interleave_weight, _order_counts
+from treegen import balanced, caterpillar, catalog, random_binary_tree, random_tree
 
 F = Fraction
 
@@ -153,9 +158,83 @@ def test_float_path_deep_tree_no_overflow():
     assert probs[-1] == 1.0  # forced order: the deepest vertex splits last
 
 
+def test_float_path_raises_instead_of_returning_nan():
+    # at K = 2047 the float binomials overflow to inf and the walk would
+    # return NaN; at K = 1023 they do not
+    wide = parse_newick(balanced(2048))
+    with pytest.raises(TreeError, match="not finite or not normalized"):
+        rank_probabilities_float(wide, wide.children[0][0])
+    narrower = parse_newick(balanced(1024))
+    probs = rank_probabilities_float(narrower, narrower.children[0][0])
+    assert all(math.isfinite(p) for p in probs)
+    assert abs(math.fsum(probs) - 1) <= FLOAT_SUM_TOLERANCE
+
+
+# ---------------------------------------------------------------------------
+# top-down kernel against the bottom-up walk
+# ---------------------------------------------------------------------------
+
+
+@given(st.integers(0, 10**6), st.integers(2, 14), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_bottom_up_walk(seed, n, binary):
+    rng = random.Random(seed)
+    tree = random_binary_tree(rng, n) if binary else random_tree(rng, n)
+    total, laws = _order_counts(tree)
+    laws = dict(laws)
+    assert total == count_rank_functions(tree)
+    assert sorted(laws) == list(tree.interior_vertices())
+    for v, counts in laws.items():
+        assert len(counts) == tree.interior_count + 1 and counts[0] == 0
+        assert tuple(F(c, total) for c in counts[1:]) == rank_probabilities(tree, v).p
+
+
+def test_kernel_targets_keep_root_paths(t5):
+    full = dict(_order_counts(t5)[1])
+    total, laws = _order_counts(t5, targets=(5,))
+    laws = dict(laws)
+    assert total == 3
+    assert sorted(laws) == [0, 4, 5]
+    assert all(laws[v] == full[v] for v in laws)
+    assert sorted(dict(_order_counts(t5, targets=(1, 5))[1])) == [0, 1, 4, 5]
+
+
+def test_kernel_rejects_inexact_quotient(t5, monkeypatch):
+    # a wrong total (t5 has 3 orders) cannot be split evenly over the
+    # positions of a child's subtree
+    monkeypatch.setattr(ranks_module, "count_rank_functions", lambda tree: 4)
+    _total, laws = _order_counts(t5)
+    with pytest.raises(ArithmeticError):
+        list(laws)
+
+
 # ---------------------------------------------------------------------------
 # joint law for nested pairs
 # ---------------------------------------------------------------------------
+
+
+def _interleave_weight_product(outside: int, block: int, position: int) -> int:
+    """C(outside + block - position, block - 1) * (block - 1)!, written as a
+    falling product over block - 1 factors."""
+    acc = 1
+    top = outside + block - position
+    for k in range(block - 1):
+        factor = top - k
+        if factor <= 0:
+            return 0
+        acc *= factor
+    return acc
+
+
+def test_interleave_weight_matches_falling_product():
+    choose = BinomialTable(32).choose
+    for outside in range(16):
+        for block in range(1, 17):
+            for position in range(1, outside + block + 1):
+                weight = _interleave_weight(outside, block, position, choose)
+                assert weight * math.factorial(block - 1) == _interleave_weight_product(
+                    outside, block, position
+                )
 
 
 def test_joint_golden_parent_child(t5):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rankdate.timing as timing_module
 from rankdate import (
     ResolutionLimitError,
     TimingModel,
@@ -11,15 +12,18 @@ from rankdate import (
     date_tree,
     expected_waiting_sum,
     interior_edge_length,
+    joint_rank_prob,
     parse_newick,
     pendant_edge_length,
     polytomy_edge_length,
+    polytomy_edge_lengths,
+    rank_probabilities,
     resolve_polytomies,
     write_newick,
     yule_topology_prob,
 )
 from rankdate.oracle import sample_rank_function, sample_yule_times
-from treegen import caterpillar, random_binary_tree, star
+from treegen import caterpillar, random_binary_tree, random_tree, star
 
 F = Fraction
 YULE = TimingModel.YULE
@@ -182,6 +186,42 @@ def test_molecular_clock_random_trees(seed, n):
     assert depths.pop() == expected
 
 
+def test_date_tree_lone_leaf_has_no_edges():
+    report = date_tree(parse_newick("a;"), YULE, include_pendant=True)
+    assert (report.interior, report.pendant, report.leaf_depths) == ({}, {}, {})
+
+
+def _joint_route(tree, p, c, model):
+    """The expected gap sum over the joint law of the edge's endpoint ranks."""
+    return sum(
+        (prob * expected_waiting_sum(i, j, model) for (i, j), prob in joint_rank_prob(tree, p, c).q.items()),
+        F(0),
+    )
+
+
+@given(st.integers(0, 10**6), st.integers(2, 14))
+@settings(max_examples=25, deadline=None)
+def test_date_tree_matches_walks(seed, n):
+    tree = random_binary_tree(random.Random(seed), n)
+    edges = [(p, c) for p, c in tree.edges() if tree.children[c]]
+    for model in (YULE, COAL):
+        report = date_tree(tree, model)
+        assert list(report.interior) == edges
+        for (p, c), value in report.interior.items():
+            assert value == _joint_route(tree, p, c, model)
+            assert interior_edge_length(tree, p, c, model) == value
+    # pendant: the Yule time from the parent's split to the last one, over
+    # the parent's rank law from the bottom-up walk
+    last = tree.interior_count
+    for (p, _leaf), value in date_tree(tree, YULE, include_pendant=True).pendant.items():
+        tail = sum(
+            (prob * expected_waiting_sum(r, last, YULE)
+             for r, prob in rank_probabilities(tree, p).support() if r < last),
+            F(0),
+        )
+        assert value == tail == pendant_edge_length(tree, p)
+
+
 # ---------------------------------------------------------------------------
 # multifurcation refinement
 # ---------------------------------------------------------------------------
@@ -284,6 +324,46 @@ def test_polytomy_matches_hand_average(poly5):
             v = p
         total += r.weight * length
     assert polytomy_edge_length(poly5, 0, 4, YULE) == total / rs.total_weight
+
+
+def test_resolve_rejects_a_wrong_count(poly5, monkeypatch):
+    # the closed-form count and the enumeration must agree
+    monkeypatch.setattr(timing_module, "_double_factorial_odd", lambda d: 4)
+    with pytest.raises(RuntimeError):
+        resolve_polytomies(poly5)
+
+
+def _weighted_joint_route(refinements, u, v, model):
+    """Topology-weighted average of the joint-route path lengths."""
+    total = F(0)
+    for r in refinements.resolutions:
+        top, w = r.vertex_map[u], r.vertex_map[v]
+        length = F(0)
+        while w != top:
+            p = r.tree.parent[w]
+            length += _joint_route(r.tree, p, w, model)
+            w = p
+        total += r.weight * length
+    return total / refinements.total_weight
+
+
+@given(st.integers(0, 10**6), st.integers(3, 14), st.sampled_from([YULE, COAL]))
+@settings(max_examples=25, deadline=None)
+def test_polytomy_edge_lengths_match_weighted_joint_route(seed, n, model):
+    tree = random_tree(random.Random(seed), n)
+    try:
+        lengths = polytomy_edge_lengths(tree, model, max_resolutions=45)
+    except ResolutionLimitError:
+        return
+    edges = [(p, c) for p, c in tree.edges() if tree.children[c]]
+    assert list(lengths) == edges
+    refinements = None if tree.is_binary() else resolve_polytomies(tree)
+    for (u, v), value in lengths.items():
+        assert polytomy_edge_length(tree, u, v, model) == value
+        if refinements is None:
+            assert value == _joint_route(tree, u, v, model)
+        else:
+            assert value == _weighted_joint_route(refinements, u, v, model)
 
 
 # ---------------------------------------------------------------------------

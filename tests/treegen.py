@@ -177,3 +177,17 @@ def caterpillar(n_leaves: int) -> str:
 
 def star(n_leaves: int) -> str:
     return "(" + ",".join(f"a{k}" for k in range(1, n_leaves + 1)) + ");"
+
+
+def balanced(n_leaves: int) -> str:
+    """Newick text for the tree whose every vertex splits its leaves
+    ceil/floor in half, on leaves a1..an."""
+    assert n_leaves >= 2
+
+    def build(first: int, count: int) -> str:
+        if count == 1:
+            return f"a{first}"
+        left = (count + 1) // 2
+        return f"({build(first, left)},{build(first + left, count - left)})"
+
+    return build(1, n_leaves) + ";"
